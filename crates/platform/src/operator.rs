@@ -55,6 +55,7 @@ use sa_core::traits::QuantileSketch;
 use sa_core::{Merge, Result, Synopsis};
 use sa_sketches::quantiles::GkSketch;
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Knobs of a [`SynopsisBolt`].
@@ -170,7 +171,7 @@ pub fn frontier_offset(store: &CheckpointStore, key: &str) -> u64 {
 pub type BulkUpdate<S> = Box<dyn FnMut(&Frame, &[usize], &mut S) + Send>;
 
 pub struct SynopsisBolt<S, F> {
-    key: std::sync::Arc<str>,
+    key: Arc<str>,
     store: CheckpointStore,
     summary: S,
     update: F,
@@ -183,6 +184,10 @@ pub struct SynopsisBolt<S, F> {
     pending_set: HashSet<u64>,
     /// Newest id ever folded into the synopsis (committed or pending).
     last_applied: u64,
+    /// The summary's encoding, cleared by the next applied tuple: a
+    /// commit's checkpoint, its emitted partial and a flush with nothing
+    /// applied since all share these bytes.
+    snapshot: Option<Arc<[u8]>>,
     recovered: bool,
     duplicates_skipped: u64,
     /// Checkpoint writes rejected by the store after the in-place retry
@@ -234,7 +239,7 @@ impl<S: Synopsis + Send, F: FnMut(&Tuple, &mut S) + Send> SynopsisBolt<S, F> {
             recovered = true;
         }
         Ok(Self {
-            key: std::sync::Arc::from(key),
+            key: Arc::from(key),
             store: store.clone(),
             summary: initial,
             update,
@@ -243,6 +248,7 @@ impl<S: Synopsis + Send, F: FnMut(&Tuple, &mut S) + Send> SynopsisBolt<S, F> {
             pending: Vec::new(),
             pending_set: HashSet::new(),
             last_applied,
+            snapshot: None,
             recovered,
             duplicates_skipped: 0,
             commit_failures: 0,
@@ -275,21 +281,23 @@ impl<S: Synopsis + Send, F: FnMut(&Tuple, &mut S) + Send> SynopsisBolt<S, F> {
         self
     }
 
-    /// Commit the pending batch: snapshot + fresh ids, atomically.
-    /// Returns whether the pending batch is now durable (trivially true
-    /// when it was empty). On a failed write the checkpoint is
-    /// *skipped, state intact*: the pending ids stay pending (so the
-    /// stored `last applied` — and with it [`replay_offset`] — never
-    /// advances past unpersisted state) and the next commit retries
-    /// them together with anything newer.
+    /// Commit the pending batch: snapshot + fresh ids, atomically. The
+    /// summary is encoded once, before any in-place retry, and the
+    /// emitted partial reuses those bytes. Returns whether the pending
+    /// batch is now durable (trivially true when it was empty). On a
+    /// failed write the checkpoint is *skipped, state intact*: the
+    /// pending ids stay pending (so the stored `last applied` — and with
+    /// it [`replay_offset`] — never advances past unpersisted state) and
+    /// the next commit retries them together with anything newer.
     fn commit(&mut self) -> bool {
         if self.pending.is_empty() {
             return true;
         }
         let commit_start = Instant::now();
+        let snapshot = self.current_snapshot();
         let mut attempt: u32 = 0;
         loop {
-            let value = encode_checkpoint(self.last_applied, &self.summary.snapshot());
+            let value = encode_checkpoint(self.last_applied, &snapshot);
             let Err(e) = self.store.commit_batch(&self.key, &self.pending, value) else { break };
             let budget = self.cfg.commit_retry.as_ref().map_or(0, |p| p.max_restarts);
             if !e.is_transient() || attempt >= budget {
@@ -316,6 +324,12 @@ impl<S: Synopsis + Send, F: FnMut(&Tuple, &mut S) + Send> SynopsisBolt<S, F> {
         }
         self.commit_us.insert(commit_start.elapsed().as_secs_f64() * 1e6);
         true
+    }
+
+    /// The summary's encoding, computed at most once between two
+    /// applied tuples.
+    fn current_snapshot(&mut self) -> Arc<[u8]> {
+        self.snapshot.get_or_insert_with(|| self.summary.snapshot().into()).clone()
     }
 
     /// The live synopsis.
@@ -373,10 +387,10 @@ impl<S: Synopsis + Send, F: FnMut(&Tuple, &mut S) + Send> SynopsisBolt<S, F> {
     /// [`OperatorConfig::emit_on_commit`]): checkpoint key, durable
     /// snapshot, and the progress marker consumers fold into their
     /// `covers` watermark.
-    fn emit_partial(&self, out: &mut OutputCollector) {
+    fn emit_partial(&mut self, out: &mut OutputCollector) {
         out.emit(Tuple::new(vec![
             Value::Str(self.key.clone()),
-            Value::Bytes(self.summary.snapshot().into()),
+            Value::Bytes(self.current_snapshot()),
             Value::Int(self.last_applied as i64),
         ]));
     }
@@ -400,6 +414,7 @@ impl<S: Synopsis + Send, F: FnMut(&Tuple, &mut S) + Send> Bolt for SynopsisBolt<
             return;
         }
         (self.update)(input, &mut self.summary);
+        self.snapshot = None;
         self.pending.push(id);
         self.pending_set.insert(id);
         self.last_applied = self.last_applied.max(id);
@@ -443,6 +458,7 @@ impl<S: Synopsis + Send, F: FnMut(&Tuple, &mut S) + Send> Bolt for SynopsisBolt<
         }
         if !fresh.is_empty() {
             (self.bulk.as_mut().expect("frames imply bulk"))(frame, &fresh, &mut self.summary);
+            self.snapshot = None;
         }
         if self.pending.len() as u64 >= self.cfg.checkpoint_every && self.commit() {
             out.release_acks();
@@ -464,7 +480,7 @@ impl<S: Synopsis + Send, F: FnMut(&Tuple, &mut S) + Send> Bolt for SynopsisBolt<
         }
         out.emit(Tuple::new(vec![
             Value::Str(self.key.clone()),
-            Value::Bytes(self.summary.snapshot().into()),
+            Value::Bytes(self.current_snapshot()),
         ]));
     }
 
@@ -644,20 +660,22 @@ impl<F: FnMut(&Record) -> Tuple + Send> LogSpout<F> {
             .map_or(self.next_offset, |&id| id - self.id_base - 1)
     }
 
-    /// Count one settled record; persist the frontier on cadence.
+    /// Count one settled record; on a cadence hit, compute the frontier
+    /// and persist it. The scan over the unsettled set runs only then.
     fn on_settle(&mut self) {
+        let Some(fc) = self.frontier.as_mut() else { return };
+        fc.settles += 1;
+        if fc.settles % fc.every != 0 {
+            return;
+        }
         let frontier = self.settled_frontier();
-        if let Some(fc) = self.frontier.as_mut() {
-            fc.settles += 1;
-            if fc.settles % fc.every == 0 {
-                // The frontier is pure optimization: a rejected put only
-                // means a deeper replay after the next crash, so a flaky
-                // durable store must not panic the spout — the next
-                // cadence hit retries with a fresher frontier.
-                if fc.store.try_put(&fc.key, encode_checkpoint(frontier, &[])).is_err() {
-                    fc.put_failures += 1;
-                }
-            }
+        let fc = self.frontier.as_mut().expect("checked above");
+        // The frontier is pure optimization: a rejected put only means a
+        // deeper replay after the next crash, so a flaky durable store
+        // must not panic the spout — the next cadence hit retries with a
+        // fresher frontier.
+        if fc.store.try_put(&fc.key, encode_checkpoint(frontier, &[])).is_err() {
+            fc.put_failures += 1;
         }
     }
 
@@ -905,6 +923,85 @@ mod tests {
         assert_eq!(out.emitted[2].get(2).unwrap().as_int(), Some(5));
     }
 
+    /// [`CountSum`] that counts its encodes in a counter shared by
+    /// every clone.
+    #[derive(Clone, Default)]
+    struct CountingSum {
+        inner: CountSum,
+        snapshots: Arc<std::sync::atomic::AtomicU64>,
+    }
+
+    impl CountingSum {
+        fn snapshots(&self) -> u64 {
+            self.snapshots.load(std::sync::atomic::Ordering::Relaxed)
+        }
+    }
+
+    impl Synopsis for CountingSum {
+        fn snapshot(&self) -> Vec<u8> {
+            self.snapshots.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.inner.snapshot()
+        }
+
+        fn restore(&mut self, bytes: &[u8]) -> Result<()> {
+            self.inner.restore(bytes)
+        }
+    }
+
+    #[test]
+    fn one_encode_per_commit_shared_by_checkpoint_and_partial() {
+        let store = CheckpointStore::new();
+        let no_backoff = RestartPolicy {
+            backoff_base: std::time::Duration::ZERO,
+            max_restarts: 2,
+            ..RestartPolicy::default()
+        };
+        let cfg = OperatorConfig {
+            checkpoint_every: 2,
+            emit_on_commit: true,
+            commit_retry: Some(no_backoff),
+            ..Default::default()
+        };
+        let synopsis = CountingSum::default();
+        let mut bolt = SynopsisBolt::with_config(
+            "k",
+            &store,
+            synopsis.clone(),
+            |t, s| apply(t, &mut s.inner),
+            cfg,
+        )
+        .unwrap();
+        let mut out = OutputCollector::new();
+        for id in 1..=6u64 {
+            bolt.execute(&int_tuple(1, id), &mut out);
+            if id % 2 == 0 {
+                // Each commit encodes once; its partial is the very bytes
+                // the checkpoint holds.
+                assert_eq!(synopsis.snapshots(), id / 2, "encodes after {id} tuples");
+                let partial = out.emitted.last().unwrap().get(1).unwrap().as_bytes().unwrap();
+                let durable = decode_checkpoint(&store.get("k").unwrap().1).unwrap().1;
+                assert_eq!(partial, &durable[..]);
+            }
+        }
+        assert_eq!(out.emitted.len(), 3, "one partial per commit");
+        // A commit that exhausts its retries still encodes only once; the
+        // next commit encodes the grown summary afresh.
+        store.inject_commit_failures(1.0, 7);
+        bolt.execute(&int_tuple(1, 7), &mut out);
+        bolt.execute(&int_tuple(1, 8), &mut out);
+        assert_eq!((bolt.commit_retries(), bolt.commit_failures()), (2, 1));
+        assert_eq!(synopsis.snapshots(), 4);
+        store.inject_commit_failures(0.0, 0);
+        bolt.execute(&int_tuple(1, 9), &mut out);
+        assert_eq!(synopsis.snapshots(), 5);
+        // Nothing applied since that commit: the drain flush re-ships the
+        // committed bytes without encoding.
+        bolt.flush(&mut out);
+        assert_eq!(synopsis.snapshots(), 5);
+        let drained = out.emitted.last().unwrap().get(1).unwrap().as_bytes().unwrap();
+        assert_eq!(drained, &decode_checkpoint(&store.get("k").unwrap().1).unwrap().1[..]);
+    }
+
     #[test]
     fn restart_recovers_checkpoint_and_dedups_replay() {
         let store = CheckpointStore::new();
@@ -1070,34 +1167,86 @@ mod tests {
     }
 
     /// The persisted frontier is the oldest *unsettled* offset: acks
-    /// arriving out of order must not advance it past a live record.
+    /// arriving out of order must not advance it past a live record. With
+    /// a cadence above one, only every `every`-th settle writes, and each
+    /// write is the oldest unsettled offset at that settle.
     #[test]
     fn log_spout_frontier_tracks_oldest_unsettled_offset() {
-        let log = Log::new(1).unwrap();
-        for i in 0..4u8 {
-            log.append("k", vec![i]);
+        #[derive(Clone, Copy)]
+        enum Op {
+            Ack(u64),
+            Fail(u64),
+            Replay,
+            Quarantine(u64),
         }
-        let store = CheckpointStore::new();
-        let mut spout =
-            LogSpout::new(&log, 0, 0, 0, |r: &Record| tuple_of([i64::from(r.value[0])]))
-                .with_frontier(&store, "f", 1);
-        for _ in 0..4 {
-            spout.next_tuple().unwrap();
+        use Op::*;
+        // Out of order: roots 3 and 2 settle before 1; 6 fails, replays
+        // and fails again; 4 (in flight) and 6 (requeued) are quarantined.
+        let script = [
+            Ack(3),
+            Ack(2),
+            Ack(1),
+            Fail(6),
+            Quarantine(4),
+            Ack(8),
+            Replay,
+            Fail(6),
+            Quarantine(6),
+            Ack(5),
+            Ack(7),
+        ];
+        for every in [1u64, 3] {
+            let log = Log::new(1).unwrap();
+            for i in 0..8u8 {
+                log.append("k", vec![i]);
+            }
+            let store = CheckpointStore::new();
+            let mut spout =
+                LogSpout::new(&log, 0, 0, 0, |r: &Record| tuple_of([i64::from(r.value[0])]))
+                    .with_frontier(&store, "f", every);
+            for _ in 0..8 {
+                spout.next_tuple().unwrap();
+            }
+            let persisted = |store: &CheckpointStore| {
+                store.get("f").map(|(_, v)| decode_checkpoint(&v).unwrap().0)
+            };
+            // The model: offsets not yet settled, and the value the store
+            // should hold.
+            let mut unsettled: std::collections::BTreeSet<u64> = (0..8).collect();
+            let (mut settles, mut expected) = (0, None);
+            for op in script {
+                let settled = match op {
+                    Ack(root) => {
+                        spout.ack(root);
+                        root
+                    }
+                    Quarantine(root) => {
+                        spout.quarantine(root).expect("record still in the log");
+                        root
+                    }
+                    Fail(root) => {
+                        assert!(spout.fail(root));
+                        continue;
+                    }
+                    Replay => {
+                        spout.next_tuple().expect("requeued record");
+                        continue;
+                    }
+                };
+                unsettled.remove(&(settled - 1));
+                settles += 1;
+                if settles % every == 0 {
+                    expected = Some(unsettled.first().copied().unwrap_or(8));
+                }
+                assert_eq!(persisted(&store), expected, "every {every}, settle of root {settled}");
+            }
+            assert_eq!(spout.pending(), 0);
+            if every == 1 {
+                assert_eq!(frontier_offset(&store, "f"), 8, "all settled");
+            }
         }
-        // Out-of-order settles: the frontier is pinned by root 1
-        // (offset 0) no matter how far later acks run ahead.
-        spout.ack(3);
-        spout.ack(2);
-        assert_eq!(frontier_offset(&store, "f"), 0);
-        // Settling the oldest record jumps the frontier over the
-        // already-settled run, stopping at the next live record.
-        spout.ack(1);
-        assert_eq!(frontier_offset(&store, "f"), 3);
-        // A quarantined record settles too (it will never replay).
-        spout.quarantine(4);
-        assert_eq!(frontier_offset(&store, "f"), 4);
         // A key never committed reads as "replay everything".
-        assert_eq!(frontier_offset(&store, "missing"), 0);
+        assert_eq!(frontier_offset(&CheckpointStore::new(), "missing"), 0);
     }
 
     #[test]

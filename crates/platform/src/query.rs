@@ -50,7 +50,7 @@ use crate::topology::{Bolt, BoltBuilder, OutputCollector, Spout, TopologyBuilder
 use crate::tuple::{Tuple, Value};
 use crate::window::{WindowBolt, WindowConfig, WindowSpec};
 use sa_core::{Aggregator, Result, SaError};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// The parallelism clause of a [`Query`]: a fixed task count, or an
@@ -382,7 +382,7 @@ where
                 name: view.clone(),
                 view: serving.clone(),
                 template: template.clone(),
-                parts: HashMap::new(),
+                parts: BTreeMap::new(),
                 publish_every: plan.publish_every,
                 updates: 0,
                 dirty: false,
@@ -553,16 +553,19 @@ fn wrap<V>(read: ViewRead<V>) -> Option<QueryResult<V>> {
 
 /// Serve bolt for whole-stream plans: collects each partition's
 /// durable partial `[Str(part), Bytes(snapshot), Int(applied)]`
-/// (2-field drain partials are accepted too), merges them in
-/// deterministic order, and publishes the global aggregate under the
-/// `""` key. `covers` is the newest applied record id across
-/// partitions.
+/// (2-field drain partials are accepted too), restores it once on
+/// arrival, merges the cached partials in deterministic order, and
+/// publishes the global aggregate under the `""` key. `covers` is the
+/// newest applied record id across partitions. A partial that fails to
+/// restore or merge is counted once and drops its partition until a
+/// valid one replaces it.
 struct MergeServe<S> {
     name: String,
     view: ServingView<ViewEntry<S>>,
     template: S,
-    /// partition key → (snapshot bytes, newest applied id).
-    parts: HashMap<String, (Vec<u8>, u64)>,
+    /// partition key → (restored partial, newest applied id), in merge
+    /// order.
+    parts: BTreeMap<String, (S, u64)>,
     publish_every: u64,
     updates: u64,
     dirty: bool,
@@ -570,45 +573,60 @@ struct MergeServe<S> {
 }
 
 impl<S: Aggregator + Sync> MergeServe<S> {
-    /// Merge the collected partials and publish a new epoch. Returns
-    /// the merged aggregate for the drain-time emission.
-    fn publish(&mut self) -> S {
+    /// Merge the cached partials and publish a new epoch.
+    fn publish(&mut self) {
         let mut global = self.template.clone();
         let mut covers = 0;
-        let mut keys: Vec<&String> = self.parts.keys().collect();
-        keys.sort(); // deterministic merge order
-        for key in keys {
-            let (bytes, applied) = &self.parts[key];
-            covers = covers.max(*applied);
-            let mut part = self.template.clone();
-            if part.restore(bytes).is_err() || global.merge(&part).is_err() {
-                self.errors += 1;
+        let errors = &mut self.errors;
+        // `retain` visits keys in ascending order: a deterministic merge.
+        self.parts.retain(|_, (part, applied)| {
+            if global.merge(part).is_err() {
+                *errors += 1;
+                return false;
             }
-        }
+            covers = covers.max(*applied);
+            true
+        });
         let mut table = HashMap::with_capacity(1);
-        table.insert(String::new(), ViewEntry { agg: global.clone(), window: None });
+        table.insert(String::new(), ViewEntry { agg: global, window: None });
         self.view.publish(table, covers);
         self.dirty = false;
         self.updates = 0;
-        global
     }
 }
 
 impl<S: Aggregator + Sync> Bolt for MergeServe<S> {
     fn execute(&mut self, input: &Tuple, _out: &mut OutputCollector) {
-        match (input.get(0).and_then(Value::as_str), input.get(1).and_then(Value::as_bytes)) {
-            (Some(part), Some(bytes)) => {
-                let applied = input.get(2).and_then(Value::as_int).map_or(0, |i| i as u64);
-                let entry = self.parts.entry(part.to_string()).or_insert((Vec::new(), 0));
-                entry.0 = bytes.to_vec();
-                entry.1 = entry.1.max(applied);
-                self.dirty = true;
-                self.updates += 1;
-                if self.updates >= self.publish_every {
-                    self.publish();
-                }
+        let (Some(part), Some(bytes)) =
+            (input.get(0).and_then(Value::as_str), input.get(1).and_then(Value::as_bytes))
+        else {
+            self.errors += 1;
+            return;
+        };
+        let applied = input.get(2).and_then(Value::as_int).map_or(0, |i| i as u64);
+        // A newer partial is restored over the cached aggregate in place.
+        let restored = match self.parts.get_mut(part) {
+            Some((agg, newest)) => {
+                *newest = (*newest).max(applied);
+                agg.restore(bytes).is_ok()
             }
-            _ => self.errors += 1,
+            None => {
+                let mut agg = self.template.clone();
+                let ok = agg.restore(bytes).is_ok();
+                if ok {
+                    self.parts.insert(part.to_string(), (agg, applied));
+                }
+                ok
+            }
+        };
+        if !restored {
+            self.errors += 1;
+            self.parts.remove(part);
+        }
+        self.dirty = true;
+        self.updates += 1;
+        if self.updates >= self.publish_every {
+            self.publish();
         }
     }
 
@@ -619,10 +637,11 @@ impl<S: Aggregator + Sync> Bolt for MergeServe<S> {
     }
 
     fn flush(&mut self, out: &mut OutputCollector) {
-        let global = self.publish();
+        self.publish();
+        let global = self.view.snapshot().table[""].agg.snapshot();
         out.emit(Tuple::new(vec![
             Value::Str(self.name.clone().into()),
-            Value::Bytes(global.snapshot().into()),
+            Value::Bytes(global.into()),
         ]));
     }
 }
@@ -630,14 +649,15 @@ impl<S: Aggregator + Sync> Bolt for MergeServe<S> {
 /// Serve bolt for windowed plans: keeps the latest fired window per
 /// group key (`[Str(key), Int(start), Int(end), Bytes(snapshot)]`,
 /// re-firings for the same window replace in place, a newer window
-/// supersedes an older one) and publishes the key → entry table.
-/// `covers` is the newest served window end — the view's event-time
-/// frontier.
+/// supersedes an older one), restored once on arrival, and publishes
+/// the key → entry table. `covers` is the newest served window end —
+/// the view's event-time frontier. A firing that fails to restore is
+/// counted once and leaves its key unserved until a valid one arrives.
 struct WindowServe<S> {
     view: ServingView<ViewEntry<S>>,
     template: S,
-    /// group key → (start, end, snapshot bytes) of the newest window.
-    latest: HashMap<String, (u64, u64, Vec<u8>)>,
+    /// group key → (start, end, restored aggregate) of the newest window.
+    latest: HashMap<String, (u64, u64, S)>,
     publish_every: u64,
     updates: u64,
     dirty: bool,
@@ -648,14 +668,9 @@ impl<S: Aggregator + Sync> WindowServe<S> {
     fn publish(&mut self) {
         let mut table = HashMap::with_capacity(self.latest.len());
         let mut covers = 0;
-        for (key, (start, end, bytes)) in &self.latest {
+        for (key, (start, end, agg)) in &self.latest {
             covers = covers.max(*end);
-            let mut agg = self.template.clone();
-            if agg.restore(bytes).is_err() {
-                self.errors += 1;
-                continue;
-            }
-            table.insert(key.clone(), ViewEntry { agg, window: Some((*start, *end)) });
+            table.insert(key.clone(), ViewEntry { agg: agg.clone(), window: Some((*start, *end)) });
         }
         self.view.publish(table, covers);
         self.dirty = false;
@@ -676,16 +691,32 @@ impl<S: Aggregator + Sync> Bolt for WindowServe<S> {
             return;
         };
         let (start, end) = (start as u64, end as u64);
-        let entry = self.latest.entry(key.to_string()).or_insert((0, 0, Vec::new()));
         // Same-window re-firings amend in place; an older window never
         // overwrites a newer one.
-        if end >= entry.1 {
-            *entry = (start, end, bytes.to_vec());
-            self.dirty = true;
-            self.updates += 1;
-            if self.updates >= self.publish_every {
-                self.publish();
+        let restored = match self.latest.get_mut(key) {
+            Some(entry) if end < entry.1 => return,
+            Some(entry) => {
+                let ok = entry.2.restore(bytes).is_ok();
+                (entry.0, entry.1) = (start, end);
+                ok
             }
+            None => {
+                let mut agg = self.template.clone();
+                let ok = agg.restore(bytes).is_ok();
+                if ok {
+                    self.latest.insert(key.to_string(), (start, end, agg));
+                }
+                ok
+            }
+        };
+        if !restored {
+            self.errors += 1;
+            self.latest.remove(key);
+        }
+        self.dirty = true;
+        self.updates += 1;
+        if self.updates >= self.publish_every {
+            self.publish();
         }
     }
 
@@ -707,6 +738,8 @@ mod tests {
     use super::*;
     use crate::topology::vec_spout;
     use crate::tuple::tuple_of;
+    use sa_core::{Merge, Synopsis};
+    use sa_sketches::frequency::CountMinSketch;
     use sa_sketches::heavy_hitters::SpaceSaving;
 
     fn word_tuples(words: &[&str]) -> Vec<Tuple> {
@@ -840,5 +873,102 @@ mod tests {
         let total = view.global().unwrap().value;
         assert_eq!(total.estimate(&"a".to_string()), 2, "recovered state survived");
         assert_eq!(total.estimate(&"b".to_string()), 1, "ids 1-2 deduped, id 3 fresh");
+    }
+
+    /// A partial that cannot be restored costs one error, however many
+    /// epochs follow, and leaves no entry: the other partitions keep
+    /// serving bit-identical results, and a later valid partial takes
+    /// the partition's place without double counting.
+    #[test]
+    fn corrupt_partials_count_once_and_leave_no_entry() {
+        let template = CountMinSketch::new(64, 4).unwrap();
+        let sketch = |items: &[&str]| {
+            let mut s = template.clone();
+            for item in items {
+                s.add(*item, 1);
+            }
+            s
+        };
+        let merged = |parts: &[&CountMinSketch]| {
+            let mut global = template.clone();
+            for part in parts {
+                global.merge(part).unwrap();
+            }
+            global.snapshot()
+        };
+        let partial = |part: &str, bytes: Vec<u8>, applied: i64| {
+            Tuple::new(vec![
+                Value::Str(part.into()),
+                Value::Bytes(bytes.into()),
+                Value::Int(applied),
+            ])
+        };
+        let corrupt = vec![0xFF, 1, 2, 3];
+        let mut out = OutputCollector::new();
+
+        let view = ServingView::new();
+        let mut serve = MergeServe {
+            name: "m".into(),
+            view: view.clone(),
+            template: template.clone(),
+            parts: BTreeMap::new(),
+            publish_every: 1,
+            updates: 0,
+            dirty: false,
+            errors: 0,
+        };
+        let served = |view: &ServingView<ViewEntry<CountMinSketch>>| {
+            view.get("").value.expect("global entry").agg.snapshot()
+        };
+        let (p0, p2) = (sketch(&["a", "b"]), sketch(&["c"]));
+        serve.execute(&partial("p0", p0.snapshot(), 2), &mut out);
+        serve.execute(&partial("p1", corrupt.clone(), 3), &mut out);
+        serve.execute(&partial("p2", p2.snapshot(), 4), &mut out);
+        serve.publish();
+        serve.publish();
+        assert_eq!(serve.errors, 1, "one corrupt partial, one error, across four epochs");
+        assert!(!serve.parts.contains_key("p1"), "a corrupt partial leaves no entry");
+        assert_eq!(served(&view), merged(&[&p0, &p2]));
+        // A valid partial for p1 joins the merge; a newer one replaces it.
+        serve.execute(&partial("p1", sketch(&["a"]).snapshot(), 5), &mut out);
+        let p1 = sketch(&["a", "d"]);
+        serve.execute(&partial("p1", p1.snapshot(), 6), &mut out);
+        assert_eq!(served(&view), merged(&[&p0, &p1, &p2]));
+        assert_eq!(view.snapshot().covers, 6);
+        // A corrupt partial for a served partition drops it again, once.
+        serve.execute(&partial("p0", corrupt.clone(), 7), &mut out);
+        serve.publish();
+        assert_eq!(serve.errors, 2);
+        assert_eq!(served(&view), merged(&[&p1, &p2]));
+
+        // Windowed serving: a corrupt first firing publishes no entry.
+        let view = ServingView::new();
+        let mut serve = WindowServe {
+            view: view.clone(),
+            template: template.clone(),
+            latest: HashMap::new(),
+            publish_every: 1,
+            updates: 0,
+            dirty: false,
+            errors: 0,
+        };
+        let firing = |key: &str, bytes: Vec<u8>| {
+            Tuple::new(vec![
+                Value::Str(key.into()),
+                Value::Int(0),
+                Value::Int(10),
+                Value::Bytes(bytes.into()),
+            ])
+        };
+        serve.execute(&firing("a", p0.snapshot()), &mut out);
+        serve.execute(&firing("b", corrupt), &mut out);
+        serve.publish();
+        assert_eq!(serve.errors, 1);
+        assert!(view.get("b").value.is_none(), "corrupt firing served");
+        let a = view.get("a").value.expect("key a served");
+        assert_eq!((a.agg.snapshot(), a.window), (p0.snapshot(), Some((0, 10))));
+        serve.execute(&firing("b", p2.snapshot()), &mut out);
+        assert_eq!(view.get("b").value.expect("key b served").agg.snapshot(), p2.snapshot());
+        assert_eq!(serve.errors, 1);
     }
 }

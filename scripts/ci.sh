@@ -80,4 +80,11 @@ cargo test -q --test durability
 cargo run --release -q -p sa-bench --bin experiments t2.k
 grep -q '"kill9_exact_ok": true' BENCH_durability.json
 
+echo "== benchmark gate (perfbench unit tests, smoke run of all four oracles) =="
+# The repository benchmark is a package of its own; --smoke runs every
+# workload at reduced size with its bit-exact oracle and exits non-zero
+# on any failure.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- --smoke
+
 echo "CI gate passed."
