@@ -7,13 +7,20 @@
 //! recipe:
 //!
 //! 1. every applied tuple's stable record id ([`Tuple::lineage`]) is
-//!    remembered, and replayed ids are skipped;
+//!    remembered, and replayed ids are skipped (lineage 0 marks an
+//!    untracked input: it is applied, never deduplicated and never
+//!    held; the executor never stamps a 0);
 //! 2. the synopsis snapshot and the ids folded into it are committed to
 //!    a [`CheckpointStore`] in one atomic step
 //!    ([`CheckpointStore::commit_batch`]), so a crash can never separate
 //!    state from its dedup tokens;
 //! 3. after the commit, dedup tokens below the GC horizon are freed
 //!    ([`CheckpointStore::gc`]) so the seen-set stays bounded.
+//!
+//! The recipe lives in one envelope, [`Checkpointed`], which
+//! [`SynopsisBolt`] and [`crate::window::WindowBolt`] each own: one
+//! dedup decision, one commit-with-retry path, one recovery path. The
+//! operators keep only their state and how to encode it.
 //!
 //! On restart the bolt's constructor finds the latest checkpoint and
 //! resumes from it; [`LogSpout`] replays the durable [`Log`] from
@@ -58,16 +65,16 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Knobs of a [`SynopsisBolt`].
+/// Knobs of the exactly-once envelope ([`Checkpointed`]) that every
+/// checkpointed operator ([`SynopsisBolt`],
+/// [`crate::window::WindowBolt`]) owns.
 #[derive(Clone, Debug)]
 pub struct OperatorConfig {
     /// Commit a checkpoint after this many freshly applied tuples.
     /// Smaller = less replay after a crash, more commit overhead (the
-    /// t2.c experiment sweeps this).
+    /// t2.c experiment sweeps this). `flush()` (topology drain) always
+    /// commits whatever is pending.
     pub checkpoint_every: u64,
-    /// Also commit on `flush()` (topology drain). Leave on unless a
-    /// test wants to observe the purely periodic schedule.
-    pub commit_on_flush: bool,
     /// After each commit, free dedup tokens more than this far below
     /// the newest applied id. Safe when upstream record ids reach the
     /// task in non-decreasing order with reordering smaller than the
@@ -96,7 +103,6 @@ impl Default for OperatorConfig {
     fn default() -> Self {
         Self {
             checkpoint_every: 256,
-            commit_on_flush: true,
             gc_horizon: Some(65_536),
             emit_on_commit: false,
             commit_retry: Some(RestartPolicy { max_restarts: 3, ..RestartPolicy::default() }),
@@ -158,6 +164,224 @@ pub fn frontier_offset(store: &CheckpointStore, key: &str) -> u64 {
         .map_or(0, |(offset, _)| offset)
 }
 
+/// What [`Checkpointed::admit`] decided about one record id.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Admit {
+    /// Not applied before (or lineage 0, never deduplicated): apply it.
+    Fresh,
+    /// Applied but not yet durable: skip it and hold its ack, as the
+    /// original attempt's is held — a crash could still lose it.
+    Pending,
+    /// Already durable: skip it; its ack may settle now.
+    Durable,
+}
+
+/// The exactly-once envelope every checkpointed operator owns (see the
+/// module docs): the dedup decision over record ids, the ids applied
+/// since the last commit, their atomic commit together with the
+/// operator's encoded state (retrying transient faults in place),
+/// dedup-token GC, recovery, and the counters that report on all of
+/// it. The operator keeps only its state and how to encode it.
+pub struct Checkpointed {
+    key: Arc<str>,
+    store: CheckpointStore,
+    cfg: OperatorConfig,
+    /// Fresh ids applied since the last commit, in arrival order.
+    pending: Vec<u64>,
+    pending_set: HashSet<u64>,
+    /// Newest id ever applied (committed or pending).
+    last_applied: u64,
+    duplicates_skipped: u64,
+    /// Checkpoint writes rejected by the store after the in-place retry
+    /// budget (if any) was spent. The ids stay pending and ride the
+    /// next commit.
+    commit_failures: u64,
+    /// Transient commit errors absorbed by in-place retry (each one a
+    /// replay cycle that did *not* happen).
+    commit_retries: u64,
+    /// `{component}.commit_failures` / `{component}.commit_retries`
+    /// counters, wired by [`Bolt::register_metrics`] when the operator
+    /// runs under an executor (absent when driven standalone).
+    commit_failures_ctr: Option<CounterHandle>,
+    commit_retries_ctr: Option<CounterHandle>,
+    /// Commit (encode + store write + gc) latency in µs, observed with
+    /// the repo's GK sketch.
+    commit_us: GkSketch,
+    /// How long restoring the checkpoint took, in µs (`None` when the
+    /// operator started fresh).
+    restore_us: Option<f64>,
+}
+
+impl Checkpointed {
+    /// Open the envelope for `key`. If `store` holds a checkpoint for
+    /// it, `restore` receives the checkpointed state payload and dedup
+    /// resumes from the checkpointed ids.
+    pub(crate) fn open(
+        key: &str,
+        store: &CheckpointStore,
+        cfg: OperatorConfig,
+        restore: impl FnOnce(&[u8]) -> Result<()>,
+    ) -> Result<Self> {
+        let mut ledger = Self {
+            key: Arc::from(key),
+            store: store.clone(),
+            cfg,
+            pending: Vec::new(),
+            pending_set: HashSet::new(),
+            last_applied: 0,
+            duplicates_skipped: 0,
+            commit_failures: 0,
+            commit_retries: 0,
+            commit_failures_ctr: None,
+            commit_retries_ctr: None,
+            commit_us: GkSketch::new(0.005).expect("valid commit-latency epsilon"),
+            restore_us: None,
+        };
+        if let Some((_, value)) = store.get(key) {
+            let restore_start = Instant::now();
+            let (applied, payload) = decode_checkpoint(&value)?;
+            restore(&payload)?;
+            ledger.restore_us = Some(restore_start.elapsed().as_secs_f64() * 1e6);
+            ledger.last_applied = applied;
+        }
+        Ok(ledger)
+    }
+
+    /// The one dedup decision: whether the input with record id `id`
+    /// is applied. A fresh tracked id joins the pending batch.
+    pub(crate) fn admit(&mut self, id: u64) -> Admit {
+        if id == 0 {
+            return Admit::Fresh;
+        }
+        if self.pending_set.contains(&id) {
+            self.duplicates_skipped += 1;
+            return Admit::Pending;
+        }
+        if self.store.is_seen(&self.key, id) {
+            self.duplicates_skipped += 1;
+            return Admit::Durable;
+        }
+        self.pending.push(id);
+        self.pending_set.insert(id);
+        self.last_applied = self.last_applied.max(id);
+        Admit::Fresh
+    }
+
+    /// Whether the pending batch has reached the commit cadence.
+    pub(crate) fn due(&self) -> bool {
+        self.pending.len() as u64 >= self.cfg.checkpoint_every
+    }
+
+    /// Whether any applied id awaits a commit.
+    pub(crate) fn has_pending(&self) -> bool {
+        !self.pending.is_empty()
+    }
+
+    /// Commit the pending ids together with `payload()` — the
+    /// operator's encoded state — in one atomic step, then GC dedup
+    /// tokens below the horizon. The payload is encoded once, before any
+    /// in-place retry. Returns whether the pending ids are durable
+    /// (trivially true when there are none). A failed write is
+    /// *skipped, state intact*: the ids stay pending (so the stored
+    /// `last applied` — and with it [`replay_offset`] — never advances
+    /// past unpersisted state) and the next commit retries them
+    /// together with anything newer.
+    pub(crate) fn commit<P: AsRef<[u8]>>(&mut self, payload: impl FnOnce() -> P) -> bool {
+        if self.pending.is_empty() {
+            return true;
+        }
+        let commit_start = Instant::now();
+        let payload = payload();
+        let mut attempt: u32 = 0;
+        loop {
+            let value = encode_checkpoint(self.last_applied, payload.as_ref());
+            let Err(e) = self.store.commit_batch(&self.key, &self.pending, value) else { break };
+            let retry = self.cfg.commit_retry.as_ref();
+            if !e.is_transient() || attempt >= retry.map_or(0, |p| p.max_restarts) {
+                self.commit_failures += 1;
+                if let Some(c) = &self.commit_failures_ctr {
+                    c.add(1);
+                }
+                return false;
+            }
+            let backoff = retry.expect("budget > 0").backoff(attempt);
+            if !backoff.is_zero() {
+                std::thread::sleep(backoff);
+            }
+            attempt += 1;
+            self.commit_retries += 1;
+            if let Some(c) = &self.commit_retries_ctr {
+                c.add(1);
+            }
+        }
+        self.pending.clear();
+        self.pending_set.clear();
+        if let Some(horizon) = self.cfg.gc_horizon {
+            self.store.gc(&self.key, self.last_applied.saturating_sub(horizon));
+        }
+        self.commit_us.insert(commit_start.elapsed().as_secs_f64() * 1e6);
+        true
+    }
+
+    /// Wire the `{component}.commit_failures` and
+    /// `{component}.commit_retries` counters.
+    pub(crate) fn register_metrics(&mut self, metrics: &Metrics, component: &str) {
+        self.commit_failures_ctr = Some(metrics.register(&format!("{component}.commit_failures")));
+        self.commit_retries_ctr = Some(metrics.register(&format!("{component}.commit_retries")));
+    }
+
+    /// Newest record id applied.
+    pub fn last_applied(&self) -> u64 {
+        self.last_applied
+    }
+
+    /// Whether opening restored a prior checkpoint.
+    pub fn recovered(&self) -> bool {
+        self.restore_us.is_some()
+    }
+
+    /// Replayed inputs dropped by deduplication.
+    pub fn duplicates_skipped(&self) -> u64 {
+        self.duplicates_skipped
+    }
+
+    /// Checkpoint writes the store rejected (state kept, retried later).
+    pub fn commit_failures(&self) -> u64 {
+        self.commit_failures
+    }
+
+    /// Transient commit errors absorbed by in-place retry
+    /// ([`OperatorConfig::commit_retry`]) — faults that did *not*
+    /// surface as a failed commit or a replay.
+    pub fn commit_retries(&self) -> u64 {
+        self.commit_retries
+    }
+
+    /// Commit-latency quantiles `(p50, p90, p99)` in µs across the
+    /// commits performed so far; `None` before the first commit.
+    pub fn commit_latency_us(&self) -> Option<(f64, f64, f64)> {
+        if self.commit_us.count() == 0 {
+            return None;
+        }
+        Some((
+            self.commit_us.query(0.5).unwrap_or(0.0),
+            self.commit_us.query(0.9).unwrap_or(0.0),
+            self.commit_us.query(0.99).unwrap_or(0.0),
+        ))
+    }
+
+    /// How long restoring the checkpoint took, in µs (`None` when the
+    /// operator started fresh).
+    pub fn restore_us(&self) -> Option<f64> {
+        self.restore_us
+    }
+}
+
+/// Bulk update closure for [`SynopsisBolt`]: folds the fresh rows
+/// (second argument, indices into the frame) of a whole [`Frame`]
+/// into the synopsis in one call.
+pub type BulkUpdate<S> = Box<dyn FnMut(&Frame, &[usize], &mut S) + Send>;
+
 /// A partition-local checkpointed synopsis operator. See the module
 /// docs for the exactly-once protocol it implements.
 ///
@@ -165,48 +389,17 @@ pub fn frontier_offset(store: &CheckpointStore, key: &str) -> u64 {
 /// whose record id has not been applied before. On `flush()` the bolt
 /// emits `[Str(checkpoint key), Bytes(snapshot)]` for a downstream
 /// [`MergeBolt`] (or any consumer of partial aggregates).
-/// Bulk update closure for [`SynopsisBolt`]: folds the fresh rows
-/// (second argument, indices into the frame) of a whole [`Frame`]
-/// into the synopsis in one call.
-pub type BulkUpdate<S> = Box<dyn FnMut(&Frame, &[usize], &mut S) + Send>;
-
 pub struct SynopsisBolt<S, F> {
-    key: Arc<str>,
-    store: CheckpointStore,
+    ledger: Checkpointed,
     summary: S,
     update: F,
     /// Columnar fast path (see [`SynopsisBolt::with_bulk`]): folds the
     /// fresh rows of a whole [`Frame`] into the synopsis in one call.
     bulk: Option<BulkUpdate<S>>,
-    cfg: OperatorConfig,
-    /// Fresh ids applied since the last commit, in arrival order.
-    pending: Vec<u64>,
-    pending_set: HashSet<u64>,
-    /// Newest id ever folded into the synopsis (committed or pending).
-    last_applied: u64,
     /// The summary's encoding, cleared by the next applied tuple: a
     /// commit's checkpoint, its emitted partial and a flush with nothing
     /// applied since all share these bytes.
     snapshot: Option<Arc<[u8]>>,
-    recovered: bool,
-    duplicates_skipped: u64,
-    /// Checkpoint writes rejected by the store after the in-place retry
-    /// budget (if any) was spent. The bolt keeps its pending batch and
-    /// retries on a later commit.
-    commit_failures: u64,
-    /// Transient commit errors absorbed by in-place retry (each one a
-    /// replay cycle that did *not* happen).
-    commit_retries: u64,
-    /// `{component}.commit_failures` / `{component}.commit_retries`
-    /// counters, wired by [`Bolt::register_metrics`] when the bolt runs
-    /// under an executor (absent when driven standalone).
-    commit_failures_ctr: Option<CounterHandle>,
-    commit_retries_ctr: Option<CounterHandle>,
-    /// Commit (snapshot + store write + gc) latency in µs — the bolt
-    /// observes its own checkpoint cost with the repo's GK sketch.
-    commit_us: GkSketch,
-    /// How long the constructor's checkpoint restore took, in µs.
-    restore_us: Option<f64>,
 }
 
 impl<S: Synopsis + Send, F: FnMut(&Tuple, &mut S) + Send> SynopsisBolt<S, F> {
@@ -227,37 +420,8 @@ impl<S: Synopsis + Send, F: FnMut(&Tuple, &mut S) + Send> SynopsisBolt<S, F> {
         update: F,
         cfg: OperatorConfig,
     ) -> Result<Self> {
-        let mut last_applied = 0;
-        let mut recovered = false;
-        let mut restore_us = None;
-        if let Some((_, value)) = store.get(key) {
-            let restore_start = Instant::now();
-            let (applied, snapshot) = decode_checkpoint(&value)?;
-            initial.restore(&snapshot)?;
-            restore_us = Some(restore_start.elapsed().as_secs_f64() * 1e6);
-            last_applied = applied;
-            recovered = true;
-        }
-        Ok(Self {
-            key: Arc::from(key),
-            store: store.clone(),
-            summary: initial,
-            update,
-            bulk: None,
-            cfg,
-            pending: Vec::new(),
-            pending_set: HashSet::new(),
-            last_applied,
-            snapshot: None,
-            recovered,
-            duplicates_skipped: 0,
-            commit_failures: 0,
-            commit_retries: 0,
-            commit_failures_ctr: None,
-            commit_retries_ctr: None,
-            commit_us: GkSketch::new(0.005).expect("valid commit-latency epsilon"),
-            restore_us,
-        })
+        let ledger = Checkpointed::open(key, store, cfg, |payload| initial.restore(payload))?;
+        Ok(Self { ledger, summary: initial, update, bulk: None, snapshot: None })
     }
 
     /// Opt into the columnar fast path. `bulk(frame, fresh, summary)`
@@ -281,154 +445,73 @@ impl<S: Synopsis + Send, F: FnMut(&Tuple, &mut S) + Send> SynopsisBolt<S, F> {
         self
     }
 
-    /// Commit the pending batch: snapshot + fresh ids, atomically. The
-    /// summary is encoded once, before any in-place retry, and the
-    /// emitted partial reuses those bytes. Returns whether the pending
-    /// batch is now durable (trivially true when it was empty). On a
-    /// failed write the checkpoint is *skipped, state intact*: the
-    /// pending ids stay pending (so the stored `last applied` — and with
-    /// it [`replay_offset`] — never advances past unpersisted state) and
-    /// the next commit retries them together with anything newer.
-    fn commit(&mut self) -> bool {
-        if self.pending.is_empty() {
-            return true;
-        }
-        let commit_start = Instant::now();
-        let snapshot = self.current_snapshot();
-        let mut attempt: u32 = 0;
-        loop {
-            let value = encode_checkpoint(self.last_applied, &snapshot);
-            let Err(e) = self.store.commit_batch(&self.key, &self.pending, value) else { break };
-            let budget = self.cfg.commit_retry.as_ref().map_or(0, |p| p.max_restarts);
-            if !e.is_transient() || attempt >= budget {
-                self.commit_failures += 1;
-                if let Some(c) = &self.commit_failures_ctr {
-                    c.add(1);
-                }
-                return false;
-            }
-            let backoff = self.cfg.commit_retry.as_ref().expect("budget > 0").backoff(attempt);
-            if !backoff.is_zero() {
-                std::thread::sleep(backoff);
-            }
-            attempt += 1;
-            self.commit_retries += 1;
-            if let Some(c) = &self.commit_retries_ctr {
-                c.add(1);
-            }
-        }
-        self.pending.clear();
-        self.pending_set.clear();
-        if let Some(horizon) = self.cfg.gc_horizon {
-            self.store.gc(&self.key, self.last_applied.saturating_sub(horizon));
-        }
-        self.commit_us.insert(commit_start.elapsed().as_secs_f64() * 1e6);
-        true
-    }
-
-    /// The summary's encoding, computed at most once between two
-    /// applied tuples.
-    fn current_snapshot(&mut self) -> Arc<[u8]> {
-        self.snapshot.get_or_insert_with(|| self.summary.snapshot().into()).clone()
-    }
-
     /// The live synopsis.
     pub fn summary(&self) -> &S {
         &self.summary
     }
 
-    /// Newest record id folded into the synopsis.
-    pub fn last_applied(&self) -> u64 {
-        self.last_applied
+    /// The exactly-once envelope: dedup, commit and recovery counters.
+    pub fn ledger(&self) -> &Checkpointed {
+        &self.ledger
     }
 
-    /// Whether construction restored a prior checkpoint.
-    pub fn recovered(&self) -> bool {
-        self.recovered
+    /// The summary's encoding, computed at most once between two
+    /// applied tuples.
+    fn encoded(snapshot: &mut Option<Arc<[u8]>>, summary: &S) -> Arc<[u8]> {
+        snapshot.get_or_insert_with(|| summary.snapshot().into()).clone()
     }
 
-    /// Replayed tuples dropped by deduplication.
-    pub fn duplicates_skipped(&self) -> u64 {
-        self.duplicates_skipped
-    }
-
-    /// Checkpoint writes the store rejected (state kept, retried later).
-    pub fn commit_failures(&self) -> u64 {
-        self.commit_failures
-    }
-
-    /// Transient commit errors absorbed by in-place retry
-    /// ([`OperatorConfig::commit_retry`]) — faults that did *not*
-    /// surface as a failed commit or a replay.
-    pub fn commit_retries(&self) -> u64 {
-        self.commit_retries
-    }
-
-    /// Commit-latency quantiles `(p50, p90, p99)` in µs across the
-    /// commits this bolt has performed; `None` before the first commit.
-    pub fn commit_latency_us(&self) -> Option<(f64, f64, f64)> {
-        if self.commit_us.count() == 0 {
-            return None;
+    /// Commit the pending batch with the summary's encoding; once it is
+    /// durable, release every ack it covered.
+    fn commit(&mut self, out: &mut OutputCollector) -> bool {
+        let durable = self.ledger.commit(|| Self::encoded(&mut self.snapshot, &self.summary));
+        if durable {
+            out.release_acks();
         }
-        Some((
-            self.commit_us.query(0.5).unwrap_or(0.0),
-            self.commit_us.query(0.9).unwrap_or(0.0),
-            self.commit_us.query(0.99).unwrap_or(0.0),
-        ))
+        durable
     }
 
-    /// How long the constructor's checkpoint restore took, in µs
-    /// (`None` when the bolt started fresh).
-    pub fn restore_us(&self) -> Option<f64> {
-        self.restore_us
+    /// A mid-run [`Self::commit`] that, once durable, also streams the
+    /// partial when [`OperatorConfig::emit_on_commit`] is set: key,
+    /// durable snapshot, and the progress marker consumers fold into
+    /// their `covers` watermark.
+    fn commit_and_publish(&mut self, out: &mut OutputCollector) -> bool {
+        let durable = self.commit(out);
+        if durable && self.ledger.cfg.emit_on_commit {
+            out.emit(Tuple::new(vec![
+                Value::Str(self.ledger.key.clone()),
+                Value::Bytes(Self::encoded(&mut self.snapshot, &self.summary)),
+                Value::Int(self.ledger.last_applied as i64),
+            ]));
+        }
+        durable
     }
 
-    /// Emit the just-committed partial (see
-    /// [`OperatorConfig::emit_on_commit`]): checkpoint key, durable
-    /// snapshot, and the progress marker consumers fold into their
-    /// `covers` watermark.
-    fn emit_partial(&mut self, out: &mut OutputCollector) {
-        out.emit(Tuple::new(vec![
-            Value::Str(self.key.clone()),
-            Value::Bytes(self.current_snapshot()),
-            Value::Int(self.last_applied as i64),
-        ]));
+    /// After a fold: commit when the cadence is due, which releases
+    /// every held input including this one. Otherwise — below the
+    /// cadence, or the write failed — hold this input's ack when `hold`,
+    /// so a restart replays it.
+    fn settle(&mut self, hold: bool, out: &mut OutputCollector) {
+        let committed = self.ledger.due() && self.commit_and_publish(out);
+        if !committed && hold {
+            out.hold_ack();
+        }
     }
 }
 
 impl<S: Synopsis + Send, F: FnMut(&Tuple, &mut S) + Send> Bolt for SynopsisBolt<S, F> {
     fn execute(&mut self, input: &Tuple, out: &mut OutputCollector) {
-        let id = input.lineage;
-        if self.pending_set.contains(&id) {
-            // Replay of an id that is applied but not yet durable: its
-            // original attempt's ack is held, so this one must be held
-            // too — acking now would settle a record that a crash could
-            // still lose.
-            self.duplicates_skipped += 1;
-            out.hold_ack();
-            return;
-        }
-        if self.store.is_seen(&self.key, id) {
-            // Durable duplicate: the replay acks immediately.
-            self.duplicates_skipped += 1;
-            return;
+        match self.ledger.admit(input.lineage) {
+            Admit::Fresh => {}
+            Admit::Pending => {
+                out.hold_ack();
+                return;
+            }
+            Admit::Durable => return,
         }
         (self.update)(input, &mut self.summary);
         self.snapshot = None;
-        self.pending.push(id);
-        self.pending_set.insert(id);
-        self.last_applied = self.last_applied.max(id);
-        if self.pending.len() as u64 >= self.cfg.checkpoint_every && self.commit() {
-            // The commit covered every held input including this one.
-            out.release_acks();
-            if self.cfg.emit_on_commit {
-                self.emit_partial(out);
-            }
-        } else {
-            // Not yet durable (below the cadence, or the write failed):
-            // hold the ack so a restart replays this tuple.
-            out.hold_ack();
-        }
+        self.settle(input.lineage != 0, out);
     }
 
     fn wants_frames(&self) -> bool {
@@ -439,65 +522,47 @@ impl<S: Synopsis + Send, F: FnMut(&Tuple, &mut S) + Send> Bolt for SynopsisBolt<
         // Dedup is protocol state and stays row-at-a-time; the synopsis
         // fold — the hot part — goes through the bulk closure once.
         let mut fresh: Vec<usize> = Vec::with_capacity(frame.len());
-        let mut nondurable_dup = false;
+        // Whether some row is applied-but-not-durable (fresh, or a
+        // pending replay — possibly of a row earlier in this very
+        // frame): then the whole frame's ack is held for the next commit
+        // to release. Holding the durable-duplicate rows too is safe —
+        // their release rides the same commit.
+        let mut hold = false;
         for (i, &id) in frame.lineages().iter().enumerate() {
-            if self.pending_set.contains(&id) {
-                // Replay of an id applied but not yet durable (or a
-                // duplicate earlier in this very frame): hold, as the
-                // row path would.
-                self.duplicates_skipped += 1;
-                nondurable_dup = true;
-            } else if self.store.is_seen(&self.key, id) {
-                self.duplicates_skipped += 1;
-            } else {
-                fresh.push(i);
-                self.pending.push(id);
-                self.pending_set.insert(id);
-                self.last_applied = self.last_applied.max(id);
+            match self.ledger.admit(id) {
+                Admit::Fresh => {
+                    fresh.push(i);
+                    hold |= id != 0;
+                }
+                Admit::Pending => hold = true,
+                Admit::Durable => {}
             }
         }
         if !fresh.is_empty() {
             (self.bulk.as_mut().expect("frames imply bulk"))(frame, &fresh, &mut self.summary);
             self.snapshot = None;
         }
-        if self.pending.len() as u64 >= self.cfg.checkpoint_every && self.commit() {
-            out.release_acks();
-            if self.cfg.emit_on_commit {
-                self.emit_partial(out);
-            }
-        } else if !fresh.is_empty() || nondurable_dup {
-            // Some row in this frame is applied-but-not-durable: hold
-            // the whole frame's acks for the next commit to release.
-            // (Holding the durable-duplicate rows too is safe — their
-            // release rides the same commit.)
-            out.hold_ack();
-        }
+        self.settle(hold, out);
     }
 
     fn flush(&mut self, out: &mut OutputCollector) {
-        if self.cfg.commit_on_flush && self.commit() {
-            out.release_acks();
-        }
+        self.commit(out);
         out.emit(Tuple::new(vec![
-            Value::Str(self.key.clone()),
-            Value::Bytes(self.current_snapshot()),
+            Value::Str(self.ledger.key.clone()),
+            Value::Bytes(Self::encoded(&mut self.snapshot, &self.summary)),
         ]));
     }
 
     fn on_idle(&mut self, out: &mut OutputCollector) {
         // Input queue drained: make the tail durable and release its
         // held acks so the spout can settle.
-        if !self.pending.is_empty() && self.commit() {
-            out.release_acks();
-            if self.cfg.emit_on_commit {
-                self.emit_partial(out);
-            }
+        if self.ledger.has_pending() {
+            self.commit_and_publish(out);
         }
     }
 
     fn register_metrics(&mut self, metrics: &Metrics, component: &str) {
-        self.commit_failures_ctr = Some(metrics.register(&format!("{component}.commit_failures")));
-        self.commit_retries_ctr = Some(metrics.register(&format!("{component}.commit_retries")));
+        self.ledger.register_metrics(metrics, component);
     }
 }
 
@@ -820,7 +885,7 @@ mod tests {
         let cfg = OperatorConfig { checkpoint_every: 4, ..Default::default() };
         let mut bolt =
             SynopsisBolt::with_config("k", &store, CountSum::default(), apply, cfg).unwrap();
-        assert!(!bolt.recovered());
+        assert!(!bolt.ledger().recovered());
         let mut out = OutputCollector::new();
         for id in 1..=6u64 {
             bolt.execute(&int_tuple(1, id), &mut out);
@@ -834,7 +899,7 @@ mod tests {
         // Replays of committed AND pending ids are both dropped.
         bolt.execute(&int_tuple(1, 2), &mut out);
         bolt.execute(&int_tuple(1, 5), &mut out);
-        assert_eq!(bolt.duplicates_skipped(), 2);
+        assert_eq!(bolt.ledger().duplicates_skipped(), 2);
         assert_eq!(bolt.summary(), &CountSum { n: 6, sum: 6 });
         // Flush commits the tail and emits the snapshot.
         bolt.flush(&mut out);
@@ -845,6 +910,24 @@ mod tests {
         let mut from_emit = CountSum::default();
         from_emit.restore(emitted.get(1).unwrap().as_bytes().unwrap()).unwrap();
         assert_eq!(from_emit, *bolt.summary());
+    }
+
+    /// Lineage 0 marks an untracked input: applied every time, never
+    /// deduplicated, never held — across a flush too.
+    #[test]
+    fn lineage_zero_is_applied_never_deduplicated_or_held() {
+        let store = CheckpointStore::new();
+        let mut bolt = SynopsisBolt::new("k", &store, CountSum::default(), apply).unwrap();
+        let mut out = OutputCollector::new();
+        for v in 1..=3i64 {
+            bolt.execute(&tuple_of([v]), &mut out);
+        }
+        assert!(!out.hold, "an untracked input's ack is never held");
+        bolt.flush(&mut out);
+        bolt.execute(&tuple_of([4i64]), &mut out);
+        assert_eq!(bolt.summary(), &CountSum { n: 4, sum: 10 });
+        assert_eq!(bolt.ledger().duplicates_skipped(), 0);
+        assert_eq!(store.seen_tokens("k"), 0, "lineage 0 never becomes a dedup token");
     }
 
     #[test]
@@ -861,7 +944,7 @@ mod tests {
         // The commit failed: acks stay held, nothing is persisted, and
         // the replay offset must NOT advance past the unpersisted ids.
         assert!(out.hold && !out.release, "failed commit must not release acks");
-        assert_eq!(bolt.commit_failures(), 1);
+        assert_eq!(bolt.ledger().commit_failures(), 1);
         assert!(store.get("k").is_none());
         assert_eq!(replay_offset(&store, &["k"]), 0);
         // State stays intact; the next interval retries and commits
@@ -989,7 +1072,7 @@ mod tests {
         store.inject_commit_failures(1.0, 7);
         bolt.execute(&int_tuple(1, 7), &mut out);
         bolt.execute(&int_tuple(1, 8), &mut out);
-        assert_eq!((bolt.commit_retries(), bolt.commit_failures()), (2, 1));
+        assert_eq!((bolt.ledger().commit_retries(), bolt.ledger().commit_failures()), (2, 1));
         assert_eq!(synopsis.snapshots(), 4);
         store.inject_commit_failures(0.0, 0);
         bolt.execute(&int_tuple(1, 9), &mut out);
@@ -1015,14 +1098,14 @@ mod tests {
         }
         // "Restart": same key, fresh initial state.
         let mut bolt = SynopsisBolt::new("k", &store, CountSum::default(), apply).unwrap();
-        assert!(bolt.recovered());
-        assert_eq!(bolt.last_applied(), 10);
+        assert!(bolt.ledger().recovered());
+        assert_eq!(bolt.ledger().last_applied(), 10);
         assert_eq!(bolt.summary(), &CountSum { n: 10, sum: 55 });
         // Full replay: every id rejected, state unchanged.
         for id in 1..=10u64 {
             bolt.execute(&int_tuple(id as i64, id), &mut out);
         }
-        assert_eq!(bolt.duplicates_skipped(), 10);
+        assert_eq!(bolt.ledger().duplicates_skipped(), 10);
         bolt.execute(&int_tuple(100, 11), &mut out);
         assert_eq!(bolt.summary(), &CountSum { n: 11, sum: 155 });
     }
@@ -1051,19 +1134,19 @@ mod tests {
         let mut bolt =
             SynopsisBolt::with_config("k", &store, CountSum::default(), apply, cfg.clone())
                 .unwrap();
-        assert!(bolt.commit_latency_us().is_none(), "no commits yet");
-        assert!(bolt.restore_us().is_none(), "fresh start restores nothing");
+        assert!(bolt.ledger().commit_latency_us().is_none(), "no commits yet");
+        assert!(bolt.ledger().restore_us().is_none(), "fresh start restores nothing");
         let mut out = OutputCollector::new();
         for id in 1..=20u64 {
             bolt.execute(&int_tuple(1, id), &mut out);
         }
-        let (p50, p90, p99) = bolt.commit_latency_us().expect("5 commits happened");
+        let (p50, p90, p99) = bolt.ledger().commit_latency_us().expect("5 commits happened");
         assert!(p50 > 0.0 && p50 <= p90 && p90 <= p99, "bad quantiles: {p50} {p90} {p99}");
         drop(bolt);
         let restarted =
             SynopsisBolt::with_config("k", &store, CountSum::default(), apply, cfg).unwrap();
-        assert!(restarted.recovered());
-        assert!(restarted.restore_us().is_some(), "recovery must time the restore");
+        assert!(restarted.ledger().recovered());
+        assert!(restarted.ledger().restore_us().is_some(), "recovery must time the restore");
     }
 
     #[test]

@@ -26,20 +26,21 @@
 //!   result, but it is not silently discarded.
 //!
 //! State — every `(key, window)` aggregate, the open sessions, and the
-//! applied-tuple dedup ids — snapshots and restores through the same
-//! [`CheckpointStore`] path as [`crate::operator::SynopsisBolt`]
-//! (atomic `commit_batch`, GC'd dedup tokens), so crash recovery via
-//! log replay reproduces the exact window results of an uncrashed run.
+//! applied-tuple dedup ids — commits and recovers through the same
+//! exactly-once envelope as [`crate::operator::SynopsisBolt`]
+//! ([`crate::operator::Checkpointed`]: atomic `commit_batch`, GC'd
+//! dedup tokens), so crash recovery via log replay reproduces the exact
+//! window results of an uncrashed run.
 
 use crate::checkpoint::CheckpointStore;
-use crate::metrics::{CounterHandle, Metrics};
-use crate::operator::OperatorConfig;
+use crate::metrics::Metrics;
+use crate::operator::{Admit, Checkpointed, OperatorConfig};
 use crate::topology::{Bolt, OutputCollector};
 use crate::tuple::{Tuple, Value};
 use sa_core::codec::{ByteReader, ByteWriter};
 use sa_core::{Merge, Result, Synopsis};
 use sa_windows::assigners::{sliding, tumbling, SessionWindows, Window};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 
 /// Which windows a timestamp maps to.
@@ -76,7 +77,8 @@ pub struct WindowConfig {
     /// How long past a window's end its state stays alive for
     /// stragglers. 0 = fire once and drop immediately.
     pub allowed_lateness: u64,
-    /// Checkpoint cadence/GC (the `SynopsisBolt` knobs).
+    /// Checkpoint cadence, GC and commit retry (the exactly-once
+    /// envelope's knobs, shared with `SynopsisBolt`).
     pub checkpoint: OperatorConfig,
 }
 
@@ -115,40 +117,104 @@ struct WindowState<S> {
 
 const WINDOW_TAG: u8 = b'W';
 
+/// Live `(key, window)` aggregates, ordered for deterministic
+/// emission and encoding.
+type Groups<S> = BTreeMap<(String, Window), WindowState<S>>;
+
+/// Open sessions per key (session spec only).
+type Sessions = HashMap<String, SessionWindows>;
+
+/// Encode every live group and session as the checkpoint's state
+/// payload (the newest applied id travels in the standard operator
+/// envelope so [`crate::operator::replay_offset`] can read it).
+fn encode_state<S: Synopsis>(groups: &Groups<S>, sessions: &Sessions) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    w.tag(WINDOW_TAG);
+    w.put_u64(groups.len() as u64);
+    for ((key, win), state) in groups {
+        w.put_str(key)
+            .put_u64(win.start)
+            .put_u64(win.end)
+            .put_bool(state.dirty)
+            .put_bytes(&state.agg.snapshot());
+    }
+    let mut session_keys: Vec<&String> = sessions.keys().collect();
+    session_keys.sort(); // deterministic encoding
+    w.put_u64(session_keys.len() as u64);
+    for key in session_keys {
+        let open = sessions[key].open();
+        w.put_str(key).put_u64(open.len() as u64);
+        for s in open {
+            w.put_u64(s.start).put_u64(s.end);
+        }
+    }
+    w.finish()
+}
+
+/// Decode an [`encode_state`] payload back into groups and sessions.
+fn decode_state<S: Synopsis + Clone>(
+    bytes: &[u8],
+    template: &S,
+    spec: WindowSpec,
+) -> Result<(Groups<S>, Sessions)> {
+    let mut r = ByteReader::new(bytes);
+    r.expect_tag(WINDOW_TAG, "window checkpoint")?;
+    let mut groups = BTreeMap::new();
+    for _ in 0..r.get_len(17)? {
+        let key = r.get_str()?;
+        let win = Window { start: r.get_u64()?, end: r.get_u64()? };
+        let dirty = r.get_bool()?;
+        let mut agg = template.clone();
+        agg.restore(r.get_bytes()?)?;
+        groups.insert((key, win), WindowState { agg, dirty });
+    }
+    let mut sessions = HashMap::new();
+    let n_sessions = r.get_len(9)?;
+    if n_sessions > 0 {
+        let WindowSpec::Session { gap } = spec else {
+            return Err(sa_core::SaError::Platform(
+                "session state in a non-session window checkpoint".into(),
+            ));
+        };
+        for _ in 0..n_sessions {
+            let key = r.get_str()?;
+            let n_open = r.get_len(16)?;
+            let mut sess = SessionWindows::new(gap);
+            for _ in 0..n_open {
+                // Re-adding the start reproduces [start, start+gap);
+                // wider recorded ends are restored by a second add at
+                // end - gap (sessions only widen in whole events, but
+                // the pair of adds reconstructs any [start, end)).
+                let start = r.get_u64()?;
+                let end = r.get_u64()?;
+                sess.add(start);
+                if end > start.saturating_add(gap) {
+                    sess.add(end - gap);
+                }
+            }
+            sessions.insert(key, sess);
+        }
+    }
+    r.finish()?;
+    Ok((groups, sessions))
+}
+
 /// A keyed, windowed, checkpointed aggregation bolt. See the module
 /// docs for semantics. `update` folds one tuple into the per-window
 /// synopsis; `Merge` is required because session windows that grow
 /// together must merge their aggregates.
 pub struct WindowBolt<S, F> {
-    key: String,
-    store: CheckpointStore,
+    ledger: Checkpointed,
     template: S,
     update: F,
     cfg: WindowConfig,
-    /// Live aggregates, ordered for deterministic emission/encoding.
-    groups: BTreeMap<(String, Window), WindowState<S>>,
-    /// Open sessions per key (session spec only).
-    sessions: HashMap<String, SessionWindows>,
+    groups: Groups<S>,
+    sessions: Sessions,
     timers: crate::time::TimerService<TimerKey>,
     /// Local watermark (None until the first `on_watermark`).
     wm: Option<u64>,
-    /// Exactly-once bookkeeping, as in `SynopsisBolt`.
-    pending: Vec<u64>,
-    pending_set: HashSet<u64>,
-    last_applied: u64,
-    recovered: bool,
-    duplicates_skipped: u64,
     /// Session-aggregate merges that failed (incompatible synopses).
     merge_errors: u64,
-    /// Checkpoint writes rejected by the store (state kept, retried).
-    commit_failures: u64,
-    /// Transient commit errors absorbed by in-place retry
-    /// ([`OperatorConfig::commit_retry`]).
-    commit_retries: u64,
-    /// `{component}.commit_failures` / `{component}.commit_retries`,
-    /// wired by [`Bolt::register_metrics`] under an executor.
-    commit_failures_ctr: Option<CounterHandle>,
-    commit_retries_ctr: Option<CounterHandle>,
 }
 
 impl<S: Synopsis + Merge + Clone + Send, F: FnMut(&Tuple, &mut S) + Send> WindowBolt<S, F> {
@@ -162,32 +228,25 @@ impl<S: Synopsis + Merge + Clone + Send, F: FnMut(&Tuple, &mut S) + Send> Window
         cfg: WindowConfig,
         update: F,
     ) -> Result<Self> {
+        let (mut groups, mut sessions) = (BTreeMap::new(), HashMap::new());
+        let ledger = Checkpointed::open(key, store, cfg.checkpoint.clone(), |payload| {
+            (groups, sessions) = decode_state(payload, &template, cfg.spec)?;
+            Ok(())
+        })?;
         let mut me = Self {
-            key: key.to_string(),
-            store: store.clone(),
+            ledger,
             template,
             update,
             cfg,
-            groups: BTreeMap::new(),
-            sessions: HashMap::new(),
+            groups,
+            sessions,
             timers: crate::time::TimerService::new(),
             wm: None,
-            pending: Vec::new(),
-            pending_set: HashSet::new(),
-            last_applied: 0,
-            recovered: false,
-            duplicates_skipped: 0,
             merge_errors: 0,
-            commit_failures: 0,
-            commit_retries: 0,
-            commit_failures_ctr: None,
-            commit_retries_ctr: None,
         };
-        if let Some((_, value)) = store.get(key) {
-            let (applied, payload) = crate::operator::decode_checkpoint(&value)?;
-            me.last_applied = applied;
-            me.restore_state(&payload)?;
-            me.recovered = true;
+        let live: Vec<(String, Window)> = me.groups.keys().cloned().collect();
+        for (key, win) in live {
+            me.arm(&key, win);
         }
         Ok(me)
     }
@@ -294,122 +353,14 @@ impl<S: Synopsis + Merge + Clone + Send, F: FnMut(&Tuple, &mut S) + Send> Window
         }
     }
 
-    /// Encode every live group and session as the checkpoint's snapshot
-    /// payload (the newest applied id travels in the standard operator
-    /// envelope so [`crate::operator::replay_offset`] can read it).
-    fn encode_state(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        w.tag(WINDOW_TAG);
-        w.put_u64(self.groups.len() as u64);
-        for ((key, win), state) in &self.groups {
-            w.put_str(key)
-                .put_u64(win.start)
-                .put_u64(win.end)
-                .put_bool(state.dirty)
-                .put_bytes(&state.agg.snapshot());
+    /// Commit the pending ids with every live group and session; once
+    /// they are durable, release every ack the commit covered.
+    fn commit(&mut self, out: &mut OutputCollector) -> bool {
+        let durable = self.ledger.commit(|| encode_state(&self.groups, &self.sessions));
+        if durable {
+            out.release_acks();
         }
-        let mut session_keys: Vec<&String> = self.sessions.keys().collect();
-        session_keys.sort(); // deterministic encoding
-        w.put_u64(session_keys.len() as u64);
-        for key in session_keys {
-            let open = self.sessions[key].open();
-            w.put_str(key).put_u64(open.len() as u64);
-            for s in open {
-                w.put_u64(s.start).put_u64(s.end);
-            }
-        }
-        w.finish()
-    }
-
-    /// Rebuild groups, sessions, and timers from a snapshot payload.
-    fn restore_state(&mut self, bytes: &[u8]) -> Result<()> {
-        let mut r = ByteReader::new(bytes);
-        r.expect_tag(WINDOW_TAG, "window checkpoint")?;
-        let n_groups = r.get_len(17)?;
-        let mut armed = Vec::new();
-        for _ in 0..n_groups {
-            let key = r.get_str()?;
-            let win = Window { start: r.get_u64()?, end: r.get_u64()? };
-            let dirty = r.get_bool()?;
-            let mut agg = self.template.clone();
-            agg.restore(r.get_bytes()?)?;
-            self.groups.insert((key.clone(), win), WindowState { agg, dirty });
-            armed.push((key, win));
-        }
-        let n_sessions = r.get_len(9)?;
-        let WindowSpec::Session { gap } = self.cfg.spec else {
-            if n_sessions != 0 {
-                return Err(sa_core::SaError::Platform(
-                    "session state in a non-session window checkpoint".into(),
-                ));
-            }
-            r.finish()?;
-            for (key, win) in armed {
-                self.arm(&key, win);
-            }
-            return Ok(());
-        };
-        for _ in 0..n_sessions {
-            let key = r.get_str()?;
-            let n_open = r.get_len(16)?;
-            let mut sess = SessionWindows::new(gap);
-            for _ in 0..n_open {
-                // Re-adding the start reproduces [start, start+gap);
-                // wider recorded ends are restored by a second add at
-                // end - gap (sessions only widen in whole events, but
-                // the pair of adds reconstructs any [start, end)).
-                let start = r.get_u64()?;
-                let end = r.get_u64()?;
-                sess.add(start);
-                if end > start.saturating_add(gap) {
-                    sess.add(end - gap);
-                }
-            }
-            self.sessions.insert(key, sess);
-        }
-        r.finish()?;
-        for (key, win) in armed {
-            self.arm(&key, win);
-        }
-        Ok(())
-    }
-
-    /// Commit pending state + dedup ids atomically, then GC tokens.
-    /// Returns whether the pending set is durable; a rejected write
-    /// keeps `pending` intact (checkpoint skipped, retried next
-    /// interval) so `replay_offset` never passes unpersisted state.
-    fn commit(&mut self) -> bool {
-        if self.pending.is_empty() {
-            return true;
-        }
-        let mut attempt: u32 = 0;
-        loop {
-            let value = crate::operator::encode_checkpoint(self.last_applied, &self.encode_state());
-            let Err(e) = self.store.commit_batch(&self.key, &self.pending, value) else { break };
-            let retry = self.cfg.checkpoint.commit_retry.as_ref();
-            if !e.is_transient() || attempt >= retry.map_or(0, |p| p.max_restarts) {
-                self.commit_failures += 1;
-                if let Some(c) = &self.commit_failures_ctr {
-                    c.add(1);
-                }
-                return false;
-            }
-            let backoff = retry.expect("budget > 0").backoff(attempt);
-            if !backoff.is_zero() {
-                std::thread::sleep(backoff);
-            }
-            attempt += 1;
-            self.commit_retries += 1;
-            if let Some(c) = &self.commit_retries_ctr {
-                c.add(1);
-            }
-        }
-        self.pending.clear();
-        self.pending_set.clear();
-        if let Some(horizon) = self.cfg.checkpoint.gc_horizon {
-            self.store.gc(&self.key, self.last_applied.saturating_sub(horizon));
-        }
-        true
+        durable
     }
 
     /// Live `(key, window)` groups.
@@ -417,34 +368,14 @@ impl<S: Synopsis + Merge + Clone + Send, F: FnMut(&Tuple, &mut S) + Send> Window
         self.groups.len()
     }
 
-    /// Whether construction restored a prior checkpoint.
-    pub fn recovered(&self) -> bool {
-        self.recovered
-    }
-
-    /// Replayed tuples dropped by deduplication.
-    pub fn duplicates_skipped(&self) -> u64 {
-        self.duplicates_skipped
-    }
-
-    /// Newest record id folded into any window.
-    pub fn last_applied(&self) -> u64 {
-        self.last_applied
-    }
-
     /// Failed session-aggregate merges.
     pub fn merge_errors(&self) -> u64 {
         self.merge_errors
     }
 
-    /// Checkpoint writes the store rejected (state retained each time).
-    pub fn commit_failures(&self) -> u64 {
-        self.commit_failures
-    }
-
-    /// Transient commit errors absorbed by in-place retry.
-    pub fn commit_retries(&self) -> u64 {
-        self.commit_retries
+    /// The exactly-once envelope: dedup, commit and recovery counters.
+    pub fn ledger(&self) -> &Checkpointed {
+        &self.ledger
     }
 }
 
@@ -453,25 +384,20 @@ impl<S: Synopsis + Merge + Clone + Send, F: FnMut(&Tuple, &mut S) + Send> Bolt
 {
     fn execute(&mut self, input: &Tuple, out: &mut OutputCollector) {
         // Exactly-once dedup first: a replayed tuple must not re-enter
-        // any window (lineage 0 = untracked test input, not deduped).
-        let id = input.lineage;
-        if id != 0 && self.pending_set.contains(&id) {
-            // Applied but not yet durable: hold this replay's ack along
-            // with the original attempt's (see `SynopsisBolt::execute`).
-            self.duplicates_skipped += 1;
-            out.hold_ack();
-            return;
-        }
-        if id != 0 && self.store.is_seen(&self.key, id) {
-            self.duplicates_skipped += 1;
-            return;
-        }
-        let applied = match input.event_time {
-            None => {
-                // Unstamped tuples cannot be windowed.
-                out.emit_late(input.clone());
-                false
+        // any window.
+        match self.ledger.admit(input.lineage) {
+            Admit::Fresh => {}
+            Admit::Pending => {
+                out.hold_ack();
+                return;
             }
+            Admit::Durable => return,
+        }
+        // The id is recorded even when the tuple goes to the side output:
+        // a replay of a dropped-late tuple would be just as late.
+        match input.event_time {
+            // Unstamped tuples cannot be windowed.
+            None => out.emit_late(input.clone()),
             Some(et) => {
                 let key = self.group_key(input);
                 match self.cfg.spec {
@@ -479,10 +405,8 @@ impl<S: Synopsis + Merge + Clone + Send, F: FnMut(&Tuple, &mut S) + Send> Bolt
                         let w = tumbling(et, size);
                         if self.expired(&w) {
                             out.emit_late(input.clone());
-                            false
                         } else {
                             self.apply_to(&key, w, input, out);
-                            true
                         }
                     }
                     WindowSpec::Sliding { size, slide } => {
@@ -492,12 +416,9 @@ impl<S: Synopsis + Merge + Clone + Send, F: FnMut(&Tuple, &mut S) + Send> Bolt
                             .collect();
                         if live.is_empty() {
                             out.emit_late(input.clone());
-                            false
-                        } else {
-                            for w in live {
-                                self.apply_to(&key, w, input, out);
-                            }
-                            true
+                        }
+                        for w in live {
+                            self.apply_to(&key, w, input, out);
                         }
                     }
                     WindowSpec::Session { gap } => {
@@ -507,29 +428,19 @@ impl<S: Synopsis + Merge + Clone + Send, F: FnMut(&Tuple, &mut S) + Send> Bolt
                         let probe = Window { start: et, end: et.saturating_add(gap) };
                         if self.expired(&probe) {
                             out.emit_late(input.clone());
-                            false
                         } else {
                             self.apply_session(&key, et, gap, input, out);
-                            true
                         }
                     }
                 }
             }
-        };
-        // Record the id either way: a replay of a dropped-late tuple
-        // would be just as late, and replays of applied tuples must be
-        // absorbed. (`applied` only gates nothing today but keeps the
-        // decision explicit.)
-        let _ = applied;
-        if id != 0 {
-            self.pending.push(id);
-            self.pending_set.insert(id);
-            self.last_applied = self.last_applied.max(id);
-            if self.pending.len() as u64 >= self.cfg.checkpoint.checkpoint_every && self.commit() {
-                out.release_acks();
-            } else {
-                out.hold_ack();
-            }
+        }
+        // Commit when the cadence is due (releasing every held ack, this
+        // one included); otherwise — below the cadence, or the write
+        // failed — hold the ack so a restart replays this tuple.
+        let committed = self.ledger.due() && self.commit(out);
+        if !committed && input.lineage != 0 {
+            out.hold_ack();
         }
     }
 
@@ -561,9 +472,7 @@ impl<S: Synopsis + Merge + Clone + Send, F: FnMut(&Tuple, &mut S) + Send> Bolt
     }
 
     fn flush(&mut self, out: &mut OutputCollector) {
-        if self.cfg.checkpoint.commit_on_flush && self.commit() {
-            out.release_acks();
-        }
+        self.commit(out);
         // Emit windows that never fired (no watermark reached them —
         // e.g. watermarks disabled, or an unclean drain). Fired-and-
         // unchanged groups are clean and not repeated.
@@ -579,14 +488,13 @@ impl<S: Synopsis + Merge + Clone + Send, F: FnMut(&Tuple, &mut S) + Send> Bolt
     }
 
     fn on_idle(&mut self, out: &mut OutputCollector) {
-        if !self.pending.is_empty() && self.commit() {
-            out.release_acks();
+        if self.ledger.has_pending() {
+            self.commit(out);
         }
     }
 
     fn register_metrics(&mut self, metrics: &Metrics, component: &str) {
-        self.commit_failures_ctr = Some(metrics.register(&format!("{component}.commit_failures")));
-        self.commit_retries_ctr = Some(metrics.register(&format!("{component}.commit_retries")));
+        self.ledger.register_metrics(metrics, component);
     }
 }
 
@@ -783,7 +691,7 @@ mod tests {
         let mut out = OutputCollector::new();
         b.execute(&keyed("a", 1, 5, 7), &mut out);
         b.execute(&keyed("a", 1, 5, 7), &mut out);
-        assert_eq!(b.duplicates_skipped(), 1);
+        assert_eq!(b.ledger().duplicates_skipped(), 1);
         b.on_watermark(10, &mut out);
         let (_, _, _, agg) = decode_result(&out.emitted[0]);
         assert_eq!(agg.n, 1, "replay must not double count");
@@ -817,13 +725,13 @@ mod tests {
             apply as fn(&Tuple, &mut CountSum),
         )
         .unwrap();
-        assert!(b2.recovered());
+        assert!(b2.ledger().recovered());
         assert_eq!(b2.live_windows(), 2);
-        assert_eq!(b2.last_applied(), 3);
+        assert_eq!(b2.ledger().last_applied(), 3);
         let mut out2 = OutputCollector::new();
         // Replays are absorbed…
         b2.execute(&keyed("a", 1, 100, 1), &mut out2);
-        assert_eq!(b2.duplicates_skipped(), 1);
+        assert_eq!(b2.ledger().duplicates_skipped(), 1);
         // …sessions still merge (restored session [100,115) + new event)…
         b2.execute(&keyed("a", 8, 110, 4), &mut out2);
         assert_eq!(b2.live_windows(), 2, "extension merged, not duplicated");
@@ -840,6 +748,78 @@ mod tests {
         sums.sort();
         assert_eq!(sums, vec![("a".into(), 120, 11), ("b".into(), 510, 3)]);
         assert_eq!(flushed, 2, "pre-crash flush emitted the dirty groups");
+    }
+
+    /// [`CountSum`] that counts its encodes in a counter shared by
+    /// every clone.
+    #[derive(Clone, Default)]
+    struct CountingSum {
+        inner: CountSum,
+        snapshots: std::sync::Arc<std::sync::atomic::AtomicU64>,
+    }
+
+    impl CountingSum {
+        fn snapshots(&self) -> u64 {
+            self.snapshots.load(std::sync::atomic::Ordering::Relaxed)
+        }
+    }
+
+    impl Synopsis for CountingSum {
+        fn snapshot(&self) -> Vec<u8> {
+            self.snapshots.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.inner.snapshot()
+        }
+
+        fn restore(&mut self, bytes: &[u8]) -> Result<()> {
+            self.inner.restore(bytes)
+        }
+    }
+
+    impl Merge for CountingSum {
+        fn merge(&mut self, other: &Self) -> Result<()> {
+            self.inner.merge(&other.inner)
+        }
+    }
+
+    #[test]
+    fn one_encode_per_commit_across_retries() {
+        let store = CheckpointStore::new();
+        let no_backoff = crate::supervise::RestartPolicy {
+            backoff_base: std::time::Duration::ZERO,
+            max_restarts: 2,
+            ..Default::default()
+        };
+        let mut cfg = WindowConfig::new(WindowSpec::Tumbling { size: 10 }, vec![0]);
+        cfg.checkpoint = OperatorConfig {
+            checkpoint_every: 2,
+            commit_retry: Some(no_backoff),
+            ..cfg.checkpoint
+        };
+        let synopsis = CountingSum::default();
+        let mut b = WindowBolt::new(
+            "w/0",
+            &store,
+            synopsis.clone(),
+            cfg,
+            |t: &Tuple, s: &mut CountingSum| apply(t, &mut s.inner),
+        )
+        .unwrap();
+        let mut out = OutputCollector::new();
+        // One live group; the commit fails through both retries and still
+        // encodes the window state once.
+        store.inject_commit_failures(1.0, 7);
+        b.execute(&keyed("a", 1, 5, 1), &mut out);
+        b.execute(&keyed("a", 2, 6, 2), &mut out);
+        assert_eq!((b.ledger().commit_retries(), b.ledger().commit_failures()), (2, 1));
+        assert_eq!(synopsis.snapshots(), 1);
+        assert!(out.hold && !out.release, "failed commit must not release acks");
+        assert!(store.get("w/0").is_none());
+        // The next commit encodes the grown state afresh, once.
+        store.inject_commit_failures(0.0, 0);
+        b.execute(&keyed("a", 4, 7, 3), &mut out);
+        assert_eq!(synopsis.snapshots(), 2);
+        assert!(out.release, "successful commit releases the held acks");
+        assert_eq!(crate::operator::replay_offset(&store, &["w/0"]), 3);
     }
 
     #[test]

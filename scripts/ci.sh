@@ -70,10 +70,11 @@ grep -q '"rescale_exact_ok": true' BENCH_rescale.json
 
 echo "== durability gate (WAL round-trips, torn tails, fault sweeps, kill -9) =="
 # Storage-engine unit tests (framing, torn-tail truncation, ≥100-point
-# corruption sweeps) plus the process-kill harness: a child SIGKILLed
-# mid-stream must recover bit-identical counts on both schedulers and
-# through a live rescale.
-cargo test -q -p sa-platform --lib -- storage:: checkpoint:: log::
+# corruption sweeps), the operator/window unit tests of the shared
+# exactly-once commit/retry path, plus the process-kill harness: a child
+# SIGKILLed mid-stream must recover bit-identical counts on both
+# schedulers and through a live rescale.
+cargo test -q -p sa-platform --lib -- storage:: checkpoint:: log:: operator:: window::
 cargo test -q --test durability
 # T2.K kick-tires: fsync-every vs group-commit goodput, recovery
 # latency, and a kill -9 round-trip; the hard bar is exactness.
