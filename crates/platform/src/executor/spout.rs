@@ -448,6 +448,10 @@ impl SpoutCore {
                         self.chain = Some(sc);
                     }
                 }
+                // No acker: the message is settled once emitted (Storm
+                // acks right after emit when acking is disabled). Not
+                // counted as a root settlement, and never failed.
+                self.spout.ack(local);
             }
             Semantics::AtLeastOnce => {
                 self.root_counter += 1;

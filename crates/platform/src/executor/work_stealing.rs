@@ -436,15 +436,20 @@ pub(crate) fn run(mut core: RunCore) -> Result<RunResult> {
     let sched = Arc::new(Sched::new(workers));
 
     // Ack progress re-activates dormant spouts immediately (and bumps
-    // the run-wide notifier for the `Idle { seen }` re-check).
+    // the run-wide notifier for the `Idle { seen }` re-check). The hook
+    // lives inside the slots `Sched` owns, so it holds `Sched` weakly:
+    // a strong reference would be a cycle that keeps the whole task
+    // graph alive after the run.
     let on_ack: Arc<dyn Fn() + Send + Sync> = {
         let note = core.ack_note.clone();
-        let sched = sched.clone();
+        let sched = Arc::downgrade(&sched);
         let spout_slots = spout_slots.clone();
         Arc::new(move || {
             note.notify();
-            for &s in &spout_slots {
-                sched.schedule(s);
+            if let Some(sched) = sched.upgrade() {
+                for &s in &spout_slots {
+                    sched.schedule(s);
+                }
             }
         })
     };
@@ -464,9 +469,16 @@ pub(crate) fn run(mut core: RunCore) -> Result<RunResult> {
                 .or_insert_with(|| core.metrics.register_link(&format!("{}.input", head.name)))
                 .clone()
         });
+        // Weak for the same reason as `on_ack`: senders live in the
+        // slots' routes (and in a `RescaleController` that may outlive
+        // the run); a send after the run is a no-op.
         let wake: Arc<dyn Fn() + Send + Sync> = {
-            let sched = sched.clone();
-            Arc::new(move || sched.schedule(slot))
+            let sched = Arc::downgrade(&sched);
+            Arc::new(move || {
+                if let Some(sched) = sched.upgrade() {
+                    sched.schedule(slot);
+                }
+            })
         };
         let (tx, rx) = inbox_channel(stats, wake);
         senders.entry(head.name.clone()).or_default().push(tx);

@@ -387,7 +387,8 @@ pub type BulkUpdate<S> = Box<dyn FnMut(&Frame, &[usize], &mut S) + Send>;
 ///
 /// `update` folds one tuple into the synopsis; it runs only for tuples
 /// whose record id has not been applied before. On `flush()` the bolt
-/// emits `[Str(checkpoint key), Bytes(snapshot)]` for a downstream
+/// commits, and once that commit is durable emits
+/// `[Str(checkpoint key), Bytes(snapshot)]` for a downstream
 /// [`MergeBolt`] (or any consumer of partial aggregates).
 pub struct SynopsisBolt<S, F> {
     ledger: Checkpointed,
@@ -546,11 +547,15 @@ impl<S: Synopsis + Send, F: FnMut(&Tuple, &mut S) + Send> Bolt for SynopsisBolt<
     }
 
     fn flush(&mut self, out: &mut OutputCollector) {
-        self.commit(out);
-        out.emit(Tuple::new(vec![
-            Value::Str(self.ledger.key.clone()),
-            Value::Bytes(Self::encoded(&mut self.snapshot, &self.summary)),
-        ]));
+        // Durability before visibility: a drain whose final commit
+        // failed emits nothing, so no consumer publishes state a
+        // restart would not recover.
+        if self.commit(out) {
+            out.emit(Tuple::new(vec![
+                Value::Str(self.ledger.key.clone()),
+                Value::Bytes(Self::encoded(&mut self.snapshot, &self.summary)),
+            ]));
+        }
     }
 
     fn on_idle(&mut self, out: &mut OutputCollector) {
@@ -695,7 +700,8 @@ impl<F: FnMut(&Record) -> Tuple + Send> LogSpout<F> {
     /// recovered state: a restart may replay from [`frontier_offset`]
     /// regardless of how far individual tasks' checkpoints ran ahead,
     /// closing the replay-from-minimum gap described in the module
-    /// docs' correctness envelope.
+    /// docs' correctness envelope. At-most-once settles each record on
+    /// emit, so there the frontier tracks the records consumed.
     pub fn with_frontier(mut self, store: &CheckpointStore, key: &str, every: u64) -> Self {
         self.frontier = Some(FrontierCheckpoint {
             store: store.clone(),
@@ -959,6 +965,29 @@ mod tests {
         cp.restore(&snap).unwrap();
         assert_eq!(cp, CountSum { n: 3, sum: 3 });
         assert_eq!(replay_offset(&store, &["k"]), 3);
+    }
+
+    #[test]
+    fn flush_emits_no_partial_when_the_final_commit_fails() {
+        let store = CheckpointStore::new();
+        let cfg = OperatorConfig { checkpoint_every: 100, ..Default::default() };
+        let mut bolt =
+            SynopsisBolt::with_config("k", &store, CountSum::default(), apply, cfg).unwrap();
+        let mut out = OutputCollector::new();
+        for id in 1..=3u64 {
+            bolt.execute(&int_tuple(1, id), &mut out);
+        }
+        store.inject_commit_failures(1.0, 7);
+        bolt.flush(&mut out);
+        assert_eq!(bolt.ledger().commit_failures(), 1);
+        assert!(out.emitted.is_empty(), "a non-durable drain snapshot was emitted");
+        assert!(!out.release, "failed commit must not release acks");
+        // Once the commit goes through, the drain ships the durable state.
+        store.inject_commit_failures(0.0, 0);
+        bolt.flush(&mut out);
+        assert!(out.release);
+        let drained = out.emitted.last().unwrap().get(1).unwrap().as_bytes().unwrap();
+        assert_eq!(drained, &decode_checkpoint(&store.get("k").unwrap().1).unwrap().1[..]);
     }
 
     #[test]

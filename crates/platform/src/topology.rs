@@ -118,8 +118,10 @@ pub trait Spout: Send {
     /// shutdown condition is met, so replaying spouts can re-emit.
     fn next_tuple(&mut self) -> Option<Tuple>;
 
-    /// The runtime confirms full processing of the tuple rooted here
-    /// (at-least-once mode only).
+    /// The runtime settles the message rooted here. At-least-once: its
+    /// tuple tree was fully processed. At-most-once: it was emitted —
+    /// with no acker, each message is settled right after emit, as
+    /// Storm acks when acking is disabled (and `fail` is never called).
     fn ack(&mut self, _root: u64) {}
 
     /// The runtime reports a failed/timed-out tuple; reliable spouts

@@ -39,8 +39,8 @@ cargo run --release -q --example trending_hashtags > /dev/null
 cargo run --release -q --example lambda_wordcount > /dev/null
 cargo run --release -q -p sa-bench --bin experiments t2.g
 
-echo "== scheduler gate (work-stealing equivalence, chaos, idle CPU, fusion) =="
-cargo test -q -p sa-platform --test scheduler --test idle_cpu
+echo "== scheduler gate (work-stealing equivalence, chaos, idle CPU, fusion, teardown) =="
+cargo test -q -p sa-platform --test scheduler --test idle_cpu --test teardown
 # One example under both runtimes (the example asserts identical counts
 # and that the per-worker steal/run/park counters are live).
 cargo run --release -q --example scheduled_wordcount | grep -q "identical counts"
